@@ -14,6 +14,11 @@
 //!   domain to its live state, so replay reads a bounded prefix instead
 //!   of the whole history.
 //!
+//! Every write path runs the way a deployment does: a `ServerNode`
+//! applies each record (`restore`, standing in for the update that
+//! emitted it), the store appends it, and the batch end hands the store
+//! the node's checkpoint to compact from.
+//!
 //! Exports `BENCH_recovery.json`; `recovery_guard` compares the rows
 //! against the committed `BENCH_baseline_recovery.json`.
 
@@ -90,6 +95,17 @@ fn submit_records(i: usize) -> [PersistRecord; 3] {
     ]
 }
 
+/// One batch through node and store, as the runtime dispatches it: the
+/// node applies the records, the store appends them, then compacts any
+/// due domain from the node's checkpoint.
+fn persist_batch(node: &mut ServerNode, store: &mut DurableStore, batch: &[PersistRecord]) {
+    node.restore(batch);
+    for r in batch {
+        store.persist(r);
+    }
+    store.end_batch(&|domain| node.checkpoint(domain));
+}
+
 /// Appends `n` records journaled `compact_every` apart, returning the
 /// store root and the on-disk footprint in bytes.
 fn build_journal(tag: &str, n: usize, compact_every: usize) -> (PathBuf, u64) {
@@ -97,8 +113,9 @@ fn build_journal(tag: &str, n: usize, compact_every: usize) -> (PathBuf, u64) {
     let mut store = DurableStore::open(&root)
         .expect("open store")
         .with_compact_every(compact_every);
+    let mut node = ServerNode::new(ServerConfig::new("superc"));
     for i in 0..n {
-        store.persist(&record(i));
+        persist_batch(&mut node, &mut store, &[record(i)]);
     }
     drop(store);
     let mut bytes = 0;
@@ -117,8 +134,8 @@ fn build_journal(tag: &str, n: usize, compact_every: usize) -> (PathBuf, u64) {
     (root, bytes)
 }
 
-/// Times a cold start over `root`: open (which replays segments), then
-/// materialize and restore into a fresh server node. Returns
+/// Times a cold start over `root`: open (which reads the segments back),
+/// then restore into a fresh server node. Returns
 /// `(millis, records_restored)`.
 fn time_replay(root: &PathBuf) -> (f64, usize) {
     let start = Instant::now();
@@ -146,11 +163,10 @@ fn main() {
     // Write path: one submission = three journaled records.
     let root = scratch_dir("append");
     let mut store = DurableStore::open(&root).expect("open store");
+    let mut node = ServerNode::new(ServerConfig::new("superc"));
     let start = Instant::now();
     for i in 0..submits {
-        for r in submit_records(i) {
-            store.persist(&r);
-        }
+        persist_batch(&mut node, &mut store, &submit_records(i));
     }
     let elapsed = start.elapsed();
     let ns_per_submit = elapsed.as_nanos() as f64 / submits as f64;

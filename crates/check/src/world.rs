@@ -144,6 +144,13 @@ pub enum Violation {
         /// What the server caches (version, if any).
         cached: Option<VersionNumber>,
     },
+    /// The server's checkpoint of its domain, restored into a fresh
+    /// node, does not rebuild the state it was taken from: a snapshot
+    /// compacted from it would lose or invent shadow state.
+    CheckpointDiverged {
+        /// Which store diverged ("shadow cache" or "output shadows").
+        store: &'static str,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -195,6 +202,9 @@ impl fmt::Display for Violation {
                 "quiescent but {file} not converged: announced {announced}, \
                  server caches {cached:?}"
             ),
+            Violation::CheckpointDiverged { store } => {
+                write!(f, "restoring the server's checkpoint does not rebuild its {store}")
+            }
         }
     }
 }
@@ -481,6 +491,7 @@ impl World {
     /// coherence (replayed bytes must digest to what the client
     /// recorded) is checked from the very next step.
     fn crash_restart(&mut self) -> Result<(), Violation> {
+        self.check_checkpoint()?;
         self.crashes_left -= 1;
         self.crashed = true;
         self.c2s.clear();
@@ -501,6 +512,30 @@ impl World {
         let hello = self.client.connect(self.conn, self.now_ms);
         self.queue_client_out(&hello);
         self.drain_handshake()
+    }
+
+    /// The durable store snapshots a domain by writing the node's
+    /// checkpoint of it; restoring that checkpoint into a fresh node
+    /// must rebuild the shadow cache and output shadows the pre-crash
+    /// node holds. Compared by their state digests, which ignore recency
+    /// — a checkpoint does not carry it.
+    fn check_checkpoint(&self) -> Result<(), Violation> {
+        let node = self.server.node();
+        let mut restored = ServerNode::new(ServerConfig::new("sc1"));
+        restored.restore(&node.checkpoint(self.domain));
+        let (cache, outputs) = node.shadow_digests();
+        let (restored_cache, restored_outputs) = restored.shadow_digests();
+        if restored_cache != cache {
+            return Err(Violation::CheckpointDiverged {
+                store: "shadow cache",
+            });
+        }
+        if restored_outputs != outputs {
+            return Err(Violation::CheckpointDiverged {
+                store: "output shadows",
+            });
+        }
+        Ok(())
     }
 
     /// Cuts the transport and immediately resumes: in-flight frames die

@@ -118,7 +118,7 @@ fn main() -> ExitCode {
             recovery.replayed(),
             recovery.domains,
             if recovery.degraded() {
-                " (degraded: torn or corrupt segments were truncated)"
+                " (degraded: damaged segments were truncated or broken delta chains dropped)"
             } else {
                 ""
             }

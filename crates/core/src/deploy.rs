@@ -90,7 +90,6 @@ pub struct Deployment {
     config: ServerConfig,
     shards: usize,
     durable: Option<PathBuf>,
-    compact_every: Option<usize>,
 }
 
 impl Deployment {
@@ -100,7 +99,6 @@ impl Deployment {
             config,
             shards: 1,
             durable: None,
-            compact_every: None,
         }
     }
 
@@ -121,28 +119,13 @@ impl Deployment {
         self
     }
 
-    /// Overrides the journal's snapshot-compaction interval (appends
-    /// per domain between snapshots). Only meaningful with
-    /// [`durable`](Self::durable).
-    #[must_use]
-    pub fn compact_every(mut self, every: usize) -> Self {
-        self.compact_every = Some(every);
-        self
-    }
-
     /// Builds every shard's node and sink, replaying journals when the
-    /// deployment is durable.
+    /// deployment is durable. The store only reads records back; the
+    /// node replays them, so the node's skipped records are what
+    /// `dropped_records` counts.
     fn parts(&self) -> Result<(Vec<ShardParts>, RecoverySummary), DeployError> {
         if self.shards == 0 {
             return Err(DeployError::Invalid("a deployment needs at least one shard"));
-        }
-        if self.compact_every.is_some() && self.durable.is_none() {
-            return Err(DeployError::Invalid(
-                "compact_every only applies to a durable deployment",
-            ));
-        }
-        if self.compact_every == Some(0) {
-            return Err(DeployError::Invalid("compact_every must be at least 1"));
         }
         let mut parts = Vec::with_capacity(self.shards);
         let mut recovery = RecoverySummary::default();
@@ -150,12 +133,10 @@ impl Deployment {
             let mut node = ServerNode::new(self.config.clone());
             let sink = match &self.durable {
                 Some(root) => {
-                    let mut store = DurableStore::open_shard(root, index, self.shards)?;
-                    if let Some(every) = self.compact_every {
-                        store = store.with_compact_every(every);
-                    }
-                    merge_summary(&mut recovery, store.summary());
-                    node.restore(&store.recovered());
+                    let store = DurableStore::open_shard(root, index, self.shards)?;
+                    let mut summary = store.summary();
+                    summary.dropped_records = node.restore(&store.recovered()).skipped;
+                    merge_summary(&mut recovery, summary);
                     Some(Box::new(store) as Box<dyn PersistSink>)
                 }
                 None => None,
@@ -349,4 +330,172 @@ fn merge_summary(into: &mut RecoverySummary, from: RecoverySummary) {
     into.torn_tails += from.torn_tails;
     into.corrupt_segments += from.corrupt_segments;
     into.dropped_records += from.dropped_records;
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fs;
+    use std::path::{Path, PathBuf};
+    use std::time::{Duration, Instant};
+
+    use shadow_client::FileRef;
+    use shadow_proto::{
+        ContentDigest, DomainId, FileId, FileKey, PersistRecord, SubmitOptions, VersionNumber,
+    };
+
+    use super::*;
+    use crate::persist;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "shadow-deploy-test-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn rows(from: usize, to: usize) -> Vec<u8> {
+        (from..to).flat_map(|i| format!("row {i}\n").into_bytes()).collect()
+    }
+
+    /// Rewrites the store under `root` with every `CacheDelta` digest
+    /// flipped: a delta chain that replays to the wrong bytes.
+    fn break_delta_digests(root: &Path) {
+        let records: Vec<PersistRecord> = DurableStore::open(root)
+            .unwrap()
+            .recovered()
+            .into_iter()
+            .map(|record| match record {
+                PersistRecord::CacheDelta {
+                    key,
+                    version,
+                    base,
+                    codec,
+                    script,
+                    digest,
+                } => PersistRecord::CacheDelta {
+                    key,
+                    version,
+                    base,
+                    codec,
+                    script,
+                    digest: ContentDigest::from_raw(digest.as_u64() ^ 1),
+                },
+                other => other,
+            })
+            .collect();
+        fs::remove_dir_all(root).unwrap();
+        let mut store = DurableStore::open(root).unwrap();
+        for record in &records {
+            store.persist(record);
+        }
+    }
+
+    #[test]
+    fn broken_delta_chain_degrades_recovery_and_reseeds_by_full_transfer() {
+        let store_root = temp_dir("broken-chain");
+        let client_state = temp_dir("broken-chain-client");
+        let data = FileRef::new(FileId::new(1), "ws:/galaxy.dat");
+        let job = FileRef::new(FileId::new(2), "ws:/analyze.job");
+        {
+            let system = Deployment::new(ServerConfig::new("sc"))
+                .durable(&store_root)
+                .pipes()
+                .unwrap();
+            let mut client = system.connect_client(ClientConfig::new("ws", 1));
+            client.wait_ready(Duration::from_secs(5)).unwrap();
+            client.edit_finished(&job, b"wc ws:/galaxy.dat\n".to_vec());
+            for end in [200, 201] {
+                client.edit_finished(&data, rows(0, end));
+                client
+                    .submit(&job, std::slice::from_ref(&data), SubmitOptions::default())
+                    .unwrap();
+                client.wait_job(Duration::from_secs(10)).unwrap();
+            }
+            assert_eq!(client.report().counter("client", "deltas_sent"), 1);
+            persist::save_state(&client_state, client.node()).unwrap();
+            drop(client);
+            system.shutdown();
+        }
+        break_delta_digests(&store_root);
+
+        let system = Deployment::new(ServerConfig::new("sc"))
+            .durable(&store_root)
+            .pipes()
+            .unwrap();
+        let recovery = system.recovery();
+        assert_eq!(recovery.dropped_records, 1, "the bad delta is dropped");
+        assert!(recovery.degraded(), "a broken chain is flagged");
+
+        let mut client = system.connect_client(ClientConfig::new("ws", 1));
+        persist::load_state(&client_state, client.node_mut()).unwrap();
+        client.wait_ready(Duration::from_secs(5)).unwrap();
+        client.edit_finished(&data, rows(0, 202));
+        client
+            .submit(&job, std::slice::from_ref(&data), SubmitOptions::default())
+            .unwrap();
+        let (_, output, ..) = client.wait_job(Duration::from_secs(10)).unwrap();
+        assert!(String::from_utf8_lossy(&output).contains("202"));
+        assert_eq!(client.report().counter("client", "fulls_sent"), 1, "data re-seeds whole");
+        assert_eq!(client.report().counter("client", "deltas_sent"), 0);
+        drop(client);
+        system.shutdown();
+        let _ = fs::remove_dir_all(&store_root);
+        let _ = fs::remove_dir_all(&client_state);
+    }
+
+    #[test]
+    fn compaction_at_a_batch_boundary_keeps_the_delta() {
+        // The first job journals three records (job file, a, b). Then
+        // a's second version arrives as a delta whose insertion evicts
+        // one file (the 470-byte cache holds 23 + 200 + 200 bytes but not
+        // 23 + 200 + 260): the batch `[CacheRemove victim, CacheDelta a]`.
+        // With four appends per snapshot the threshold falls on the
+        // removal. The runtime
+        // compacts after the whole batch, so the snapshot holds a at v2
+        // and no journal record is left to replay.
+        let root = temp_dir("batch-boundary");
+        let job = FileRef::new(FileId::new(1), "ws:/run.job");
+        let a = FileRef::new(FileId::new(2), "ws:/a.dat");
+        let b = FileRef::new(FileId::new(3), "ws:/b.dat");
+        let lines = |c: &str, n: usize| format!("{}\n", c.repeat(9)).repeat(n).into_bytes();
+        let node = ServerNode::new(ServerConfig::new("sc").with_cache_budget(470));
+        let store = DurableStore::open(&root).unwrap().with_compact_every(4);
+        let system = LiveSystem::start_with(node, Some(Box::new(store)));
+        let mut client = system.connect_client(ClientConfig::new("ws", 1));
+        client.wait_ready(Duration::from_secs(5)).unwrap();
+        let wait_for = |client: &mut LiveClient, section: &str, counter: &str, want: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while system.report().unwrap().counter(section, counter) < want {
+                assert!(Instant::now() < deadline, "{section}.{counter} never reached {want}");
+                client.pump().unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        client.edit_finished(&job, b"wc ws:/a.dat ws:/b.dat\n".to_vec());
+        client.edit_finished(&a, lines("a", 20));
+        client.edit_finished(&b, lines("b", 20));
+        client
+            .submit(&job, &[a.clone(), b], SubmitOptions::default())
+            .unwrap();
+        client.wait_job(Duration::from_secs(10)).unwrap();
+        wait_for(&mut client, "store", "appends", 3);
+        client.edit_finished(&a, lines("a", 26));
+        wait_for(&mut client, "server", "delta_updates", 1);
+        let report = system.report().unwrap();
+        assert_eq!(report.counter("store", "appends"), 5);
+        assert_eq!(report.counter("store", "compactions"), 1);
+        drop(client);
+        system.shutdown();
+
+        let store = DurableStore::open(&root).unwrap();
+        assert_eq!(store.summary().journal_records, 0, "the snapshot covers the batch");
+        let mut node = ServerNode::new(ServerConfig::new("sc"));
+        assert_eq!(node.restore(&store.recovered()).skipped, 0);
+        let key = |file| FileKey::new(DomainId::new(1), FileId::new(file));
+        assert_eq!(node.cached_version(key(2)), Some(VersionNumber::new(2)));
+        assert_eq!(node.cached_keys().len(), 2, "one file was evicted");
+        let _ = fs::remove_dir_all(&root);
+    }
 }

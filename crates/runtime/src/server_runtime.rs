@@ -349,6 +349,10 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
             for record in &io.persists {
                 sink.persist(record);
             }
+            if !io.persists.is_empty() {
+                let node = self.driver.node();
+                sink.end_batch(&|domain| node.checkpoint(domain));
+            }
             self.metrics.inc("records_persisted", io.persists.len() as u64);
         }
         for out in io.outbound {

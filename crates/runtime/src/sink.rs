@@ -4,10 +4,14 @@
 //! `ServerAction::Persist(record)`; whether (and where) records become
 //! durable is a deployment decision. The poll loops hand every record
 //! from a [`ServerIo`](crate::ServerIo) to the installed sink in
-//! emission order. `shadow-store` provides the journaling sink; tests
-//! use [`VecSink`]; diskless deployments install none.
+//! emission order, then close the batch with
+//! [`end_batch`](PersistSink::end_batch), which lends the sink the
+//! node's own checkpoint of any domain. The sink never interprets
+//! records: the node is the only code that turns them into state.
+//! `shadow-store` provides the journaling sink; tests use [`VecSink`];
+//! diskless deployments install none.
 
-use shadow_proto::PersistRecord;
+use shadow_proto::{DomainId, PersistRecord};
 
 /// Applies storage intents emitted by the server state machine.
 ///
@@ -20,6 +24,17 @@ use shadow_proto::PersistRecord;
 pub trait PersistSink: Send + std::fmt::Debug {
     /// Appends one record.
     fn persist(&mut self, record: &PersistRecord);
+
+    /// Closes a batch: called once after every record of one
+    /// [`ServerIo`](crate::ServerIo) has gone through
+    /// [`persist`](Self::persist), never between two of them. By then
+    /// the node has applied the whole batch, so `state(domain)` —
+    /// [`ServerNode::checkpoint`](shadow_server::ServerNode::checkpoint)
+    /// — describes exactly the records persisted so far. A journaling
+    /// sink compacts here; mid-batch, the checkpoint would already hold
+    /// the effect of records the sink has not seen yet. The default
+    /// does nothing.
+    fn end_batch(&mut self, _state: &dyn Fn(DomainId) -> Vec<PersistRecord>) {}
 
     /// The sink's observability section, if it keeps counters. The poll
     /// loop appends it to [`ServerRuntime::report`] so a durable

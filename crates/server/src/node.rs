@@ -335,6 +335,45 @@ impl ServerNode {
         summary
     }
 
+    /// The inverse of [`restore`](Self::restore) for one naming domain:
+    /// the shortest record sequence that rebuilds this domain's shadow
+    /// cache and output shadow store in a fresh node. Each live cache
+    /// key becomes one `CacheFull` (its delta chain collapsed), sorted
+    /// by key so equal states checkpoint identically; then come the
+    /// domain's outputs oldest first, each followed by an `OutputAcked`
+    /// when the client has acknowledged it. Cache recency is not
+    /// carried, exactly as [`state_digest`](Self::state_digest) ignores
+    /// it. The durable store writes this as a domain's snapshot.
+    pub fn checkpoint(&self, domain: DomainId) -> Vec<PersistRecord> {
+        let mut cached: Vec<_> = self
+            .cache
+            .iter()
+            .filter(|(key, _)| key.domain == domain)
+            .collect();
+        cached.sort_unstable_by_key(|(key, _)| **key);
+        let outputs = self.outputs.in_fifo_order(domain);
+        let mut records = Vec::with_capacity(cached.len() + 2 * outputs.len());
+        for (key, entry) in cached {
+            records.push(PersistRecord::CacheFull {
+                key: *key,
+                version: entry.version,
+                content: Bytes::copy_from_slice(&entry.content),
+            });
+        }
+        for (job_file, job, output, acked) in outputs {
+            records.push(PersistRecord::Output {
+                domain,
+                job_file,
+                job,
+                content: Bytes::copy_from_slice(output.as_bytes()),
+            });
+            if acked {
+                records.push(PersistRecord::OutputAcked { domain, job });
+            }
+        }
+        records
+    }
+
     /// Every file key currently cached (coherence checks).
     pub fn cached_keys(&self) -> Vec<FileKey> {
         let mut keys: Vec<FileKey> = self.cache.iter().map(|(k, _)| *k).collect();
@@ -398,6 +437,13 @@ impl ServerNode {
         self.next_job.hash(&mut h);
         self.outputs.state_digest().hash(&mut h);
         h.finish()
+    }
+
+    /// Digests of the two restart-surviving stores, `(shadow cache,
+    /// output shadows)`: the part of [`state_digest`](Self::state_digest)
+    /// a [`checkpoint`](Self::checkpoint) must reproduce.
+    pub fn shadow_digests(&self) -> (u64, u64) {
+        (self.cache.state_digest(), self.outputs.state_digest())
     }
 
     /// A job's current status (diagnostic hook).
@@ -1963,6 +2009,189 @@ mod tests {
             [ServerMessage::SubmitAck { job, .. }] => assert_eq!(*job, JobId::new(10)),
             ref other => panic!("expected SubmitAck, got {other:?}"),
         }
+    }
+
+    fn cp_key(file: u64) -> FileKey {
+        FileKey::new(DomainId::new(3), FileId::new(file))
+    }
+
+    fn cp_full(file: u64, version: u64, content: &str) -> PersistRecord {
+        PersistRecord::CacheFull {
+            key: cp_key(file),
+            version: VersionNumber::new(version),
+            content: Bytes::from(content.as_bytes().to_vec()),
+        }
+    }
+
+    fn cp_delta(file: u64, base: u64, version: u64, from: &str, to: &str) -> PersistRecord {
+        let script = diff_docs(
+            DiffAlgorithm::HuntMcIlroy,
+            &DocBuf::from_bytes(from.as_bytes().to_vec()),
+            &DocBuf::from_bytes(to.as_bytes().to_vec()),
+            &mut DiffScratch::new(),
+        );
+        PersistRecord::CacheDelta {
+            key: cp_key(file),
+            version: VersionNumber::new(version),
+            base: VersionNumber::new(base),
+            codec: DeltaCodec::Line,
+            script: Bytes::from(script.to_text()),
+            digest: ContentDigest::of(to.as_bytes()),
+        }
+    }
+
+    fn cp_output(job_file: u64, job: u64, text: &str) -> PersistRecord {
+        PersistRecord::Output {
+            domain: DomainId::new(3),
+            job_file: FileId::new(job_file),
+            job: JobId::new(job),
+            content: Bytes::from(text.as_bytes().to_vec()),
+        }
+    }
+
+    fn cp_acked(job: u64) -> PersistRecord {
+        PersistRecord::OutputAcked {
+            domain: DomainId::new(3),
+            job: JobId::new(job),
+        }
+    }
+
+    /// Restores `records` into a fresh node and returns its checkpoint
+    /// of domain 3.
+    fn checkpoint_after(config: ServerConfig, records: &[PersistRecord]) -> Vec<PersistRecord> {
+        let mut node = ServerNode::new(config);
+        node.restore(records);
+        node.checkpoint(DomainId::new(3))
+    }
+
+    #[test]
+    fn checkpoint_collapses_delta_chains() {
+        let records = [
+            cp_full(1, 1, "a\nb\n"),
+            cp_delta(1, 1, 2, "a\nb\n", "a\nc\n"),
+            cp_delta(1, 2, 3, "a\nc\n", "a\nc\nd\n"),
+        ];
+        assert_eq!(
+            checkpoint_after(ServerConfig::new("sc"), &records),
+            vec![cp_full(1, 3, "a\nc\nd\n")]
+        );
+    }
+
+    #[test]
+    fn checkpoint_collapses_chunk_codec_deltas() {
+        let base = vec![0x42u8; 50_000];
+        let mut target = base.clone();
+        target[25_000] = 0x43;
+        let mut wire = Vec::new();
+        chunk_delta_into(&base, &target, &mut DiffScratch::new(), &mut wire);
+        let records = [
+            PersistRecord::CacheFull {
+                key: cp_key(9),
+                version: VersionNumber::new(1),
+                content: Bytes::from(base),
+            },
+            PersistRecord::CacheDelta {
+                key: cp_key(9),
+                version: VersionNumber::new(2),
+                base: VersionNumber::new(1),
+                codec: DeltaCodec::Chunk,
+                script: Bytes::from(wire),
+                digest: ContentDigest::of(&target),
+            },
+        ];
+        assert_eq!(
+            checkpoint_after(ServerConfig::new("sc"), &records),
+            vec![PersistRecord::CacheFull {
+                key: cp_key(9),
+                version: VersionNumber::new(2),
+                content: Bytes::from(target),
+            }]
+        );
+    }
+
+    #[test]
+    fn checkpoint_omits_a_key_whose_chain_broke() {
+        // A delta against a base the node does not hold drops the key.
+        let records = [cp_full(1, 1, "a\n"), cp_delta(1, 7, 8, "x\n", "y\n")];
+        assert!(checkpoint_after(ServerConfig::new("sc"), &records).is_empty());
+    }
+
+    #[test]
+    fn checkpoint_lists_outputs_then_acks_in_fifo_order() {
+        let records = [
+            cp_full(4, 1, "job\n"),
+            cp_output(1, 10, "first\n"),
+            cp_acked(10),
+            cp_output(2, 11, "second\n"),
+            cp_acked(11),
+            // A rerun of the same job file replaces the output and
+            // clears the ack.
+            cp_output(2, 12, "second again\n"),
+        ];
+        assert_eq!(
+            checkpoint_after(ServerConfig::new("sc"), &records),
+            vec![
+                cp_full(4, 1, "job\n"),
+                cp_output(1, 10, "first\n"),
+                cp_acked(10),
+                cp_output(2, 12, "second again\n"),
+            ]
+        );
+    }
+
+    #[test]
+    fn checkpoint_moves_a_replaced_output_to_the_back() {
+        let records = [
+            cp_output(1, 10, "first\n"),
+            cp_output(2, 11, "second\n"),
+            cp_output(1, 12, "first again\n"),
+        ];
+        assert_eq!(
+            checkpoint_after(ServerConfig::new("sc"), &records),
+            vec![cp_output(2, 11, "second\n"), cp_output(1, 12, "first again\n")]
+        );
+    }
+
+    #[test]
+    fn checkpoint_omits_an_evicted_output() {
+        let mut config = ServerConfig::new("sc");
+        config.output_shadow_budget = 16;
+        let records = [cp_output(1, 10, "ten bytes\n"), cp_output(2, 11, "ten again\n")];
+        assert_eq!(
+            checkpoint_after(config, &records),
+            vec![cp_output(2, 11, "ten again\n")]
+        );
+    }
+
+    #[test]
+    fn checkpoint_covers_one_domain_and_restores_its_state() {
+        let other = FileKey::new(DomainId::new(4), FileId::new(1));
+        let mut node = ServerNode::new(ServerConfig::new("sc"));
+        node.restore(&[
+            cp_full(2, 1, "b\n"),
+            cp_full(1, 5, "a\n"),
+            PersistRecord::CacheFull {
+                key: other,
+                version: VersionNumber::FIRST,
+                content: Bytes::from_static(b"elsewhere\n"),
+            },
+            cp_output(1, 10, "out\n"),
+            cp_acked(10),
+        ]);
+        let checkpoint = node.checkpoint(DomainId::new(3));
+        assert_eq!(
+            checkpoint,
+            vec![
+                cp_full(1, 5, "a\n"),
+                cp_full(2, 1, "b\n"),
+                cp_output(1, 10, "out\n"),
+                cp_acked(10),
+            ]
+        );
+        let mut restored = ServerNode::new(ServerConfig::new("sc"));
+        restored.restore(&checkpoint);
+        restored.restore(&node.checkpoint(DomainId::new(4)));
+        assert_eq!(restored.shadow_digests(), node.shadow_digests());
     }
 
     #[test]

@@ -112,6 +112,22 @@ impl OutputShadowStore {
         domain
     }
 
+    /// One domain's cached outputs, oldest first (the FIFO eviction
+    /// order): `(job_file, job, output, acked)`.
+    pub fn in_fifo_order(&self, domain: DomainId) -> Vec<(FileId, JobId, &DocBuf, bool)> {
+        let mut entries: Vec<(&FileId, &OutputEntry)> = self
+            .entries
+            .iter()
+            .filter(|((d, _), _)| *d == domain)
+            .map(|((_, file), e)| (file, e))
+            .collect();
+        entries.sort_unstable_by_key(|(_, e)| e.inserted);
+        entries
+            .into_iter()
+            .map(|(file, e)| (*file, e.job, &e.output, e.acked))
+            .collect()
+    }
+
     /// Number of cached outputs.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -21,7 +21,7 @@
 //! prefix, and the caller truncates (or rewrites) the rest away.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use shadow_proto::{ContentDigest, Frame, PersistRecord};
@@ -126,9 +126,11 @@ pub(crate) fn read_segment(path: &Path, magic: &[u8; 8]) -> io::Result<Option<Se
     Ok(Some(Segment { seq, records, damage }))
 }
 
-/// Writes a whole segment atomically: build in memory, write to a
-/// `.tmp` sibling, fsync, rename over the target. A crash leaves either
-/// the old segment or the new one, never a mix.
+/// Writes a whole segment atomically: stream it into a `.tmp`
+/// sibling, fsync, rename over the target. A crash leaves either the
+/// old segment or the new one, never a mix. Records are encoded one at
+/// a time, so a snapshot never needs a second in-memory copy of the
+/// state it writes.
 pub(crate) fn write_segment(
     path: &Path,
     magic: &[u8; 8],
@@ -136,16 +138,16 @@ pub(crate) fn write_segment(
     records: &[PersistRecord],
 ) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    let mut buf = Vec::with_capacity(HEADER_LEN + records.len() * 64);
-    buf.extend_from_slice(magic);
-    buf.extend_from_slice(&seq.to_le_bytes());
+    let mut file = BufWriter::new(File::create(&tmp)?);
+    file.write_all(magic)?;
+    file.write_all(&seq.to_le_bytes())?;
+    let mut buf = Vec::new();
     for record in records {
+        buf.clear();
         encode_record(record, &mut buf);
+        file.write_all(&buf)?;
     }
-    let mut file = File::create(&tmp)?;
-    file.write_all(&buf)?;
-    file.sync_all()?;
-    drop(file);
+    file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     fs::rename(&tmp, path)
 }
 

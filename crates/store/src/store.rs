@@ -1,5 +1,11 @@
 //! The durable store: per-domain journals, snapshot compaction,
 //! startup recovery.
+//!
+//! The store is a log. It appends records and reads them back; it never
+//! applies them. Snapshots come from the server node itself
+//! (`ServerNode::checkpoint`, handed in through
+//! [`PersistSink::end_batch`]), and recovery returns raw records for
+//! `ServerNode::restore` to replay.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -10,7 +16,6 @@ use shadow_obs::Section;
 use shadow_proto::{DomainId, PersistRecord};
 use shadow_runtime::{shard_for, PersistSink};
 
-use crate::mirror::DomainMirror;
 use crate::segment::{read_segment, write_segment, Damage, JOURNAL_MAGIC, SNAPSHOT_MAGIC};
 
 /// Journal file name inside a domain directory.
@@ -38,12 +43,14 @@ pub struct RecoverySummary {
     pub torn_tails: usize,
     /// Segments cut short by a checksum or decode failure.
     pub corrupt_segments: usize,
-    /// Records dropped during replay (broken delta chains).
+    /// Records dropped during replay (broken delta chains). The store
+    /// does not replay, so it leaves this at 0; the deployment fills it
+    /// from `RestoreSummary::skipped` once the node has replayed.
     pub dropped_records: usize,
 }
 
 impl RecoverySummary {
-    /// Total records that made it back into the mirror.
+    /// Total records salvaged for replay.
     pub fn replayed(&self) -> usize {
         self.snapshot_records + self.journal_records
     }
@@ -55,12 +62,10 @@ impl RecoverySummary {
     }
 }
 
-/// One domain's journal: its directory, replayed mirror, and append
-/// handle.
+/// One domain's journal: its directory, append handle and counters.
 #[derive(Debug)]
 struct DomainStore {
     dir: PathBuf,
-    mirror: DomainMirror,
     /// Append handle for `journal.log`; reopened lazily after
     /// compaction replaces the file.
     appender: Option<File>,
@@ -69,6 +74,17 @@ struct DomainStore {
     seq: u64,
     /// Appends since the last compaction.
     since_compact: usize,
+}
+
+impl DomainStore {
+    fn new(dir: PathBuf, seq: u64) -> Self {
+        DomainStore {
+            dir,
+            appender: None,
+            seq,
+            since_compact: 0,
+        }
+    }
 }
 
 /// The durable shadow store behind one server (or one shard).
@@ -82,11 +98,13 @@ struct DomainStore {
 ///
 /// The store is a [`PersistSink`]: the runtime hands it every
 /// `ServerAction::Persist` record and it appends the record to the
-/// owning domain's journal, compacting to a snapshot every
-/// [`DEFAULT_COMPACT_EVERY`] appends. Opening the store replays
-/// snapshot + journal into per-domain mirrors; [`recovered`](Self::recovered)
-/// materializes them as the record sequence to feed
-/// `ServerNode::restore`.
+/// owning domain's journal. Once a domain has taken
+/// [`DEFAULT_COMPACT_EVERY`] appends, the next
+/// [`end_batch`](PersistSink::end_batch) writes the node's checkpoint of
+/// that domain as its snapshot and empties the journal. Opening the
+/// store reads snapshot + journal back; [`recovered`](Self::recovered)
+/// hands those raw records to `ServerNode::restore`, and the store drops
+/// its copy at the first append.
 ///
 /// Sharded deployments open one store *per shard* over the same root:
 /// [`open_shard`](Self::open_shard) recovers only the domains
@@ -100,6 +118,12 @@ pub struct DurableStore {
     shard_count: usize,
     compact_every: usize,
     domains: HashMap<DomainId, DomainStore>,
+    /// Domains whose journal reached `compact_every` appends; the next
+    /// batch end snapshots them.
+    due: Vec<DomainId>,
+    /// Salvaged records awaiting `ServerNode::restore`, domains in id
+    /// order; released at the first append.
+    recovered: Vec<PersistRecord>,
     summary: RecoverySummary,
     appends: u64,
     appended_bytes: u64,
@@ -148,12 +172,15 @@ impl DurableStore {
             shard_count: shard_count.max(1),
             compact_every: DEFAULT_COMPACT_EVERY,
             domains: HashMap::new(),
+            due: Vec::new(),
+            recovered: Vec::new(),
             summary: RecoverySummary::default(),
             appends: 0,
             appended_bytes: 0,
             compactions: 0,
             io_errors: 0,
         };
+        let mut salvaged = Vec::new();
         for entry in fs::read_dir(store.root.clone())? {
             let entry = entry?;
             if !entry.file_type()?.is_dir() {
@@ -165,8 +192,11 @@ impl DurableStore {
             if shard_for(domain, store.shard_count) != store.shard_index {
                 continue;
             }
-            store.recover_domain(domain, entry.path())?;
+            let records = store.recover_domain(domain, entry.path())?;
+            salvaged.push((domain, records));
         }
+        salvaged.sort_unstable_by_key(|(domain, _)| *domain);
+        store.recovered = salvaged.into_iter().flat_map(|(_, r)| r).collect();
         store.summary.domains = store.domains.len();
         Ok(store)
     }
@@ -193,15 +223,13 @@ impl DurableStore {
         self.summary
     }
 
-    /// The replayable state salvaged at open time, materialized as the
-    /// record sequence to feed `ServerNode::restore`: domains in id
-    /// order, each as collapsed `CacheFull` records plus output entries.
+    /// The records salvaged at open time, unapplied, to feed
+    /// `ServerNode::restore`: domains in id order, each as its snapshot
+    /// followed by the journal records the snapshot does not cover.
+    /// Empty once the store has appended anything — the store releases
+    /// them then, so it holds no cache content while serving.
     pub fn recovered(&self) -> Vec<PersistRecord> {
-        let mut ids: Vec<DomainId> = self.domains.keys().copied().collect();
-        ids.sort_by_key(|d| d.as_u64());
-        ids.iter()
-            .flat_map(|d| self.domains[d].mirror.materialize())
-            .collect()
+        self.recovered.clone()
     }
 
     /// The store's report section: recovery outcome plus live append /
@@ -213,113 +241,84 @@ impl DurableStore {
             .with("stale_skipped", self.summary.stale_skipped)
             .with("torn_tails", self.summary.torn_tails)
             .with("corrupt_segments", self.summary.corrupt_segments)
-            .with("dropped_records", self.summary.dropped_records)
             .with("appends", self.appends)
             .with("appended_bytes", self.appended_bytes)
             .with("compactions", self.compactions)
             .with("io_errors", self.io_errors)
     }
 
-    /// Replays one domain directory: snapshot first, then the journal
-    /// records the snapshot does not already cover. Any damage (torn
-    /// tail, corruption, an interrupted compaction) is repaired by
-    /// re-persisting the salvaged mirror as a fresh snapshot + empty
-    /// journal, so the next open starts clean.
-    fn recover_domain(&mut self, domain: DomainId, dir: PathBuf) -> io::Result<()> {
+    /// Reads one domain directory back: the snapshot first, then the
+    /// journal records the snapshot does not already cover. Any damage
+    /// (torn tail, corruption, an interrupted compaction) is repaired by
+    /// rewriting the salvaged records as a fresh snapshot + empty
+    /// journal, so the next open starts clean. Returns the salvaged
+    /// records.
+    fn recover_domain(
+        &mut self,
+        domain: DomainId,
+        dir: PathBuf,
+    ) -> io::Result<Vec<PersistRecord>> {
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let journal_path = dir.join(JOURNAL_FILE);
-        let mut mirror = DomainMirror::default();
+        let mut records = Vec::new();
         let mut covers = 0u64;
         let mut damaged = false;
 
         if let Some(seg) = read_segment(&snapshot_path, SNAPSHOT_MAGIC)? {
-            match seg.damage {
-                Damage::None => covers = seg.seq,
-                Damage::Torn => {
-                    self.summary.torn_tails += 1;
-                    damaged = true;
-                }
-                Damage::Corrupt => {
-                    self.summary.corrupt_segments += 1;
-                    damaged = true;
-                }
-            }
-            for record in &seg.records {
-                if mirror.apply(record) {
-                    self.summary.snapshot_records += 1;
-                } else {
-                    self.summary.dropped_records += 1;
-                }
-            }
             // A damaged snapshot no longer covers what its header
             // claims; trusting `covers` would skip journal records that
             // are now the only copy. Degrade to replaying the journal
             // in full.
+            if self.count_damage(seg.damage) {
+                damaged = true;
+            } else {
+                covers = seg.seq;
+            }
+            self.summary.snapshot_records += seg.records.len();
+            records = seg.records;
         }
 
         let mut base = 0u64;
         let mut journal_total = 0u64;
         let mut stale = 0usize;
-        if let Some(seg) = read_segment(&journal_path, JOURNAL_MAGIC)? {
-            match seg.damage {
-                Damage::None => {}
-                Damage::Torn => {
-                    self.summary.torn_tails += 1;
-                    damaged = true;
-                }
-                Damage::Corrupt => {
-                    self.summary.corrupt_segments += 1;
-                    damaged = true;
-                }
-            }
+        if let Some(mut seg) = read_segment(&journal_path, JOURNAL_MAGIC)? {
+            damaged |= self.count_damage(seg.damage);
             base = seg.seq;
             journal_total = seg.records.len() as u64;
             stale = usize::try_from(covers.saturating_sub(base).min(journal_total))
                 .expect("journal record count fits usize");
             self.summary.stale_skipped += stale;
-            for record in &seg.records[stale..] {
-                if mirror.apply(record) {
-                    self.summary.journal_records += 1;
-                } else {
-                    self.summary.dropped_records += 1;
-                }
-            }
+            self.summary.journal_records += seg.records.len() - stale;
+            records.extend(seg.records.drain(stale..));
         }
 
         let seq = covers.max(base + journal_total);
         if damaged || stale > 0 {
-            // Everything salvaged lives only in the mirror now; persist
-            // it before serving so a second crash cannot lose it again.
-            write_segment(&snapshot_path, SNAPSHOT_MAGIC, seq, &mirror.materialize())?;
+            // The salvaged prefix is no longer what the files say;
+            // rewrite it before serving so a second crash cannot lose
+            // it again.
+            write_segment(&snapshot_path, SNAPSHOT_MAGIC, seq, &records)?;
             write_segment(&journal_path, JOURNAL_MAGIC, seq, &[])?;
         }
-        self.domains.insert(
-            domain,
-            DomainStore {
-                dir,
-                mirror,
-                appender: None,
-                seq,
-                since_compact: 0,
-            },
-        );
-        Ok(())
+        self.domains.insert(domain, DomainStore::new(dir, seq));
+        Ok(records)
+    }
+
+    /// Counts a segment's damage in the summary; true when it had any.
+    fn count_damage(&mut self, damage: Damage) -> bool {
+        match damage {
+            Damage::None => return false,
+            Damage::Torn => self.summary.torn_tails += 1,
+            Damage::Corrupt => self.summary.corrupt_segments += 1,
+        }
+        true
     }
 
     fn append(&mut self, domain: DomainId, record: &PersistRecord) -> io::Result<()> {
         if !self.domains.contains_key(&domain) {
             let dir = self.root.join(domain_dir_name(domain));
             fs::create_dir_all(&dir)?;
-            self.domains.insert(
-                domain,
-                DomainStore {
-                    dir,
-                    mirror: DomainMirror::default(),
-                    appender: None,
-                    seq: 0,
-                    since_compact: 0,
-                },
-            );
+            self.domains.insert(domain, DomainStore::new(dir, 0));
         }
         let compact_every = self.compact_every;
         let ds = self.domains.get_mut(&domain).expect("domain just ensured");
@@ -338,25 +337,24 @@ impl DurableStore {
             .write_all(&buf)?;
         ds.seq += 1;
         ds.since_compact += 1;
-        ds.mirror.apply(record);
+        if ds.since_compact == compact_every {
+            self.due.push(domain);
+        }
         self.appends += 1;
         self.appended_bytes += buf.len() as u64;
-        if ds.since_compact >= compact_every {
-            self.compact_domain(domain)?;
-        }
         Ok(())
     }
 
-    /// Publishes the mirror as a snapshot, then resets the journal.
-    /// The order is the crash-consistency argument: after the snapshot
-    /// rename lands, the journal's records are *stale* (its `base` is
-    /// below the snapshot's `covers`), and recovery skips them; if the
-    /// crash hits before the rename, the old snapshot + full journal
-    /// still replay everything.
-    fn compact_domain(&mut self, domain: DomainId) -> io::Result<()> {
+    /// Publishes `checkpoint` — the node's state of `domain`, covering
+    /// every record appended so far — as the snapshot, then resets the
+    /// journal. The order is the crash-consistency argument: after the
+    /// snapshot rename lands, the journal's records are *stale* (its
+    /// `base` is below the snapshot's `covers`), and recovery skips
+    /// them; if the crash hits before the rename, the old snapshot +
+    /// full journal still replay everything.
+    fn compact_domain(&mut self, domain: DomainId, checkpoint: &[PersistRecord]) -> io::Result<()> {
         let ds = self.domains.get_mut(&domain).expect("compacting known domain");
-        let records = ds.mirror.materialize();
-        write_segment(&ds.dir.join(SNAPSHOT_FILE), SNAPSHOT_MAGIC, ds.seq, &records)?;
+        write_segment(&ds.dir.join(SNAPSHOT_FILE), SNAPSHOT_MAGIC, ds.seq, checkpoint)?;
         // The rewrite replaces the journal's inode; drop the handle so
         // the next append reopens the fresh file.
         ds.appender = None;
@@ -368,15 +366,18 @@ impl DurableStore {
 }
 
 impl PersistSink for DurableStore {
-    /// Journals one record. Infallible by contract: an I/O failure
-    /// degrades (the record is dropped and counted in `io_errors`)
-    /// rather than poisoning the poll loop — durability is
-    /// best-effort, correctness never depends on it.
     fn report_section(&self) -> Option<Section> {
         Some(self.section())
     }
 
+    /// Journals one record. Infallible by contract: an I/O failure
+    /// degrades (the record is dropped and counted in `io_errors`)
+    /// rather than poisoning the poll loop — durability is
+    /// best-effort, correctness never depends on it.
     fn persist(&mut self, record: &PersistRecord) {
+        // The node has replayed the salvage by now (it is restored
+        // before serving), so the store's copy can go.
+        self.recovered = Vec::new();
         let domain = record.domain();
         if self.append(domain, record).is_err() {
             self.io_errors += 1;
@@ -384,6 +385,19 @@ impl PersistSink for DurableStore {
             // reopens (and the valid-prefix reader bounds the damage).
             if let Some(ds) = self.domains.get_mut(&domain) {
                 ds.appender = None;
+            }
+        }
+    }
+
+    /// Snapshots every domain that reached the compaction interval,
+    /// from the node's checkpoint. A failed compaction is counted in
+    /// `io_errors` and retried at the next batch end; the journal still
+    /// holds everything meanwhile.
+    fn end_batch(&mut self, state: &dyn Fn(DomainId) -> Vec<PersistRecord>) {
+        for domain in std::mem::take(&mut self.due) {
+            if self.compact_domain(domain, &state(domain)).is_err() {
+                self.io_errors += 1;
+                self.due.push(domain);
             }
         }
     }

@@ -1,12 +1,15 @@
 //! Recovery edge cases for the durable shadow store: empty journals,
 //! torn tails, mid-file corruption, interrupted compactions, and the
 //! determinism of replay.
+//!
+//! The store only reads records back; a `ServerNode` replays them and
+//! supplies the checkpoints compaction writes, so the assertions about
+//! state look at a restored node.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use shadow_diff::{diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 use shadow_proto::{
     ContentDigest, DeltaCodec, DomainId, FileId, FileKey, JobId, PersistRecord, VersionNumber,
 };
@@ -33,22 +36,36 @@ fn full(domain: u64, file: u64, version: u64, content: &str) -> PersistRecord {
     }
 }
 
-fn delta(domain: u64, file: u64, base: u64, version: u64, from: &str, to: &str) -> PersistRecord {
-    let mut scratch = DiffScratch::new();
-    let script = diff_docs(
-        DiffAlgorithm::HuntMcIlroy,
-        &DocBuf::from_bytes(from.as_bytes().to_vec()),
-        &DocBuf::from_bytes(to.as_bytes().to_vec()),
-        &mut scratch,
-    );
+/// A line-codec delta: `script` is the ed script turning the base into
+/// `to`.
+fn delta(domain: u64, file: u64, base: u64, version: u64, script: &str, to: &str) -> PersistRecord {
     PersistRecord::CacheDelta {
         key: key(domain, file),
         version: VersionNumber::new(version),
         base: VersionNumber::new(base),
         codec: DeltaCodec::Line,
-        script: Bytes::from(script.to_text()),
+        script: Bytes::from(script.as_bytes().to_vec()),
         digest: ContentDigest::of(to.as_bytes()),
     }
+}
+
+/// One batch the way the server runtime dispatches it: the node applies
+/// the records, the store appends them, and the batch end lets the store
+/// compact any due domain from the node's checkpoint.
+fn persist_batch(node: &mut ServerNode, store: &mut DurableStore, batch: &[PersistRecord]) {
+    node.restore(batch);
+    for record in batch {
+        store.persist(record);
+    }
+    store.end_batch(&|domain| node.checkpoint(domain));
+}
+
+/// A fresh node restored from what `store` recovered.
+fn restored(store: &DurableStore) -> ServerNode {
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
+    let summary = node.restore(&store.recovered());
+    assert_eq!(summary.skipped, 0, "no record of a clean store is dropped");
+    node
 }
 
 fn journal_path(root: &Path, domain: u64) -> PathBuf {
@@ -79,16 +96,17 @@ fn journal_replay_collapses_delta_chains() {
     let root = temp_root("chain");
     let mut store = DurableStore::open(&root).unwrap();
     store.persist(&full(1, 1, 1, "a\nb\n"));
-    store.persist(&delta(1, 1, 1, 2, "a\nb\n", "a\nc\n"));
-    store.persist(&delta(1, 1, 2, 3, "a\nc\n", "a\nc\nd\n"));
+    store.persist(&delta(1, 1, 1, 2, "2c\nc\n.\nw\n", "a\nc\n"));
+    store.persist(&delta(1, 1, 2, 3, "2a\nd\n.\nw\n", "a\nc\nd\n"));
     drop(store);
 
     let store = DurableStore::open(&root).unwrap();
     assert_eq!(store.summary().journal_records, 3);
+    assert_eq!(store.recovered().len(), 3, "the store hands back raw records");
     assert_eq!(
-        store.recovered(),
+        restored(&store).checkpoint(DomainId::new(1)),
         vec![full(1, 1, 3, "a\nc\nd\n")],
-        "three journal records materialize as one collapsed CacheFull"
+        "the node replays three journal records into one collapsed CacheFull"
     );
     let _ = fs::remove_dir_all(&root);
 }
@@ -151,12 +169,14 @@ fn checksum_mismatch_mid_file_degrades_to_the_valid_prefix() {
 #[test]
 fn snapshot_newer_than_journal_skips_the_stale_records() {
     let root = temp_root("stale");
-    // compact_every=2 → the second append publishes a snapshot
-    // (covers 2) and resets the journal.
+    // compact_every=2 → the batch end after the second append publishes
+    // the node's checkpoint as a snapshot (covers 2) and resets the
+    // journal.
     let mut store = DurableStore::open(&root).unwrap().with_compact_every(2);
-    store.persist(&full(1, 1, 1, "a\n"));
-    store.persist(&full(1, 2, 1, "b\n"));
-    store.persist(&full(1, 3, 1, "c\n"));
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
+    for record in [full(1, 1, 1, "a\n"), full(1, 2, 1, "b\n"), full(1, 3, 1, "c\n")] {
+        persist_batch(&mut node, &mut store, &[record]);
+    }
     drop(store);
 
     // Simulate the crash window *between* snapshot publication and
@@ -196,23 +216,27 @@ fn snapshot_newer_than_journal_skips_the_stale_records() {
 fn compaction_preserves_the_recovered_state() {
     let root = temp_root("compact");
     let mut store = DurableStore::open(&root).unwrap().with_compact_every(4);
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
     let mut from = String::from("line 0\n");
-    store.persist(&full(1, 1, 1, &from));
+    persist_batch(&mut node, &mut store, &[full(1, 1, 1, &from)]);
     for v in 2..=9u64 {
-        let to = format!("{from}line {}\n", v - 1);
-        store.persist(&delta(1, 1, v - 1, v, &from, &to));
+        let line = format!("line {}", v - 1);
+        let to = format!("{from}{line}\n");
+        let script = format!("{}a\n{line}\n.\nw\n", v - 1);
+        persist_batch(&mut node, &mut store, &[delta(1, 1, v - 1, v, &script, &to)]);
         from = to;
     }
-    store.persist(&PersistRecord::Output {
+    let output = PersistRecord::Output {
         domain: DomainId::new(1),
         job_file: FileId::new(1),
         job: JobId::new(5),
         content: Bytes::from_static(b"output\n"),
-    });
-    store.persist(&PersistRecord::OutputAcked {
+    };
+    let acked = PersistRecord::OutputAcked {
         domain: DomainId::new(1),
         job: JobId::new(5),
-    });
+    };
+    persist_batch(&mut node, &mut store, &[output.clone(), acked.clone()]);
     drop(store);
 
     let snapshot = root.join("domain-0000000000000001").join("snapshot.log");
@@ -220,12 +244,10 @@ fn compaction_preserves_the_recovered_state() {
 
     let store = DurableStore::open(&root).unwrap();
     assert!(!store.summary().degraded());
-    let recovered = store.recovered();
-    assert!(recovered.contains(&full(1, 1, 9, &from)));
-    assert!(recovered.contains(&PersistRecord::OutputAcked {
-        domain: DomainId::new(1),
-        job: JobId::new(5),
-    }));
+    assert_eq!(
+        restored(&store).checkpoint(DomainId::new(1)),
+        vec![full(1, 1, 9, &from), output, acked]
+    );
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -234,7 +256,7 @@ fn replaying_twice_rebuilds_identical_server_state() {
     let root = temp_root("idempotent");
     let mut store = DurableStore::open(&root).unwrap();
     store.persist(&full(1, 1, 1, "a\nb\n"));
-    store.persist(&delta(1, 1, 1, 2, "a\nb\n", "a\nc\n"));
+    store.persist(&delta(1, 1, 1, 2, "2c\nc\n.\nw\n", "a\nc\n"));
     store.persist(&full(1, 2, 1, "other\n"));
     store.persist(&PersistRecord::Output {
         domain: DomainId::new(1),
@@ -291,5 +313,51 @@ fn shard_stores_partition_the_domains() {
     }
     seen.sort_unstable();
     assert_eq!(seen, domains, "the shards together recover every domain");
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn compaction_waits_for_the_end_of_the_batch() {
+    // An update that evicts emits `[CacheRemove victim, CacheDelta key]`
+    // as one batch. The compaction threshold falls on the removal, but
+    // the node has already applied the delta by then: a snapshot taken
+    // there would hold `key` at v2 while the journal after it still
+    // carries the v1 -> v2 delta, which replay could not apply, so the
+    // key would be lost. Compacting at the batch end keeps it.
+    let root = temp_root("batch-end");
+    let mut store = DurableStore::open(&root).unwrap().with_compact_every(3);
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
+    persist_batch(&mut node, &mut store, &[full(1, 1, 1, "a\n")]);
+    persist_batch(&mut node, &mut store, &[full(1, 2, 1, "victim\n")]);
+    persist_batch(
+        &mut node,
+        &mut store,
+        &[
+            PersistRecord::CacheRemove { key: key(1, 2) },
+            delta(1, 1, 1, 2, "1a\nb\n.\nw\n", "a\nb\n"),
+        ],
+    );
+    drop(store);
+
+    let store = DurableStore::open(&root).unwrap();
+    assert_eq!(store.summary().snapshot_records, 1, "the snapshot covers the batch");
+    assert_eq!(store.summary().journal_records, 0);
+    let node = restored(&store);
+    assert_eq!(node.cached_version(key(1, 1)), Some(VersionNumber::new(2)));
+    assert_eq!(node.cached_version(key(1, 2)), None);
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn recovered_records_are_released_by_the_first_append() {
+    let root = temp_root("release");
+    let mut store = DurableStore::open(&root).unwrap();
+    store.persist(&full(1, 1, 1, "a\n"));
+    drop(store);
+
+    let mut store = DurableStore::open(&root).unwrap();
+    assert_eq!(store.recovered(), vec![full(1, 1, 1, "a\n")]);
+    store.persist(&full(1, 2, 1, "b\n"));
+    assert!(store.recovered().is_empty(), "the node holds the state now");
     let _ = fs::remove_dir_all(&root);
 }

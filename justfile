@@ -1,7 +1,7 @@
 # Development shortcuts. `just check` is what CI runs.
 
 # Build everything, run the full test suite, and lint.
-check: build test lint verify analyze
+check: build test e2ebench lint verify analyze
 
 # Release build of the whole workspace.
 build:
@@ -10,6 +10,13 @@ build:
 # The full test suite (unit + integration + property tests).
 test:
     cargo test -q --workspace
+
+# The end-to-end benchmark is its own workspace, so the steps above do
+# not compile it; build and test it here so a public-API change that
+# breaks it fails the check.
+e2ebench:
+    cargo build --release --manifest-path e2ebench/Cargo.toml
+    cargo test -q --manifest-path e2ebench/Cargo.toml
 
 # Clippy with warnings promoted to errors.
 lint:
