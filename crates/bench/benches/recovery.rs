@@ -19,7 +19,7 @@
 //! emitted it), the store appends it, and the batch end hands the store
 //! the node's checkpoint to compact from.
 //!
-//! Exports `BENCH_recovery.json`; `recovery_guard` compares the rows
+//! Exports `BENCH_recovery.json`; `bench_guard recovery` compares the rows
 //! against the committed `BENCH_baseline_recovery.json`.
 
 use std::fs;

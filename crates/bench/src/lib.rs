@@ -137,6 +137,15 @@ pub fn parse_ns_rows(doc: &str) -> Vec<(String, f64)> {
     rows
 }
 
+/// Reads the first number stored under `"key":` in a `BENCH_*.json`
+/// document (a scanner for our own format, like [`parse_ns_rows`]).
+pub fn parse_number_field(doc: &str, key: &str) -> Option<f64> {
+    let pattern = format!("\"{key}\":");
+    let val = &doc[doc.find(&pattern)? + pattern.len()..];
+    let end = val.find([',', '}', '\n']).unwrap_or(val.len());
+    val[..end].trim().parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,5 +177,13 @@ mod tests {
         assert!(parse_ns_rows("").is_empty());
         assert!(parse_ns_rows("{\"op\": \"x\"").is_empty());
         assert!(parse_ns_rows("not json at all").is_empty());
+    }
+
+    #[test]
+    fn parse_number_field_reads_top_level_numbers() {
+        let doc = "{\n  \"bench\": \"micro\",\n  \"max_ratio\": 2.0,\n  \"rows\": []\n}";
+        assert_eq!(parse_number_field(doc, "max_ratio"), Some(2.0));
+        assert_eq!(parse_number_field(doc, "absent"), None);
+        assert_eq!(parse_number_field("{\"max_ratio\": \"x\"}", "max_ratio"), None);
     }
 }

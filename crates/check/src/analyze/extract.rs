@@ -39,6 +39,8 @@ pub struct FnItem {
 /// Parsed view of one source file: its tokens plus the functions found.
 #[derive(Debug)]
 pub struct FileItems {
+    /// Repo-relative file label.
+    pub file: String,
     /// Stripped source the token spans index into.
     pub src: String,
     /// Token stream for the whole file.
@@ -102,6 +104,7 @@ pub fn extract_file(stripped: String, krate: &str, file: &str, rel_in_crate: &st
     w.items(0, toks.len(), None);
     let fns = w.out;
     FileItems {
+        file: file.to_string(),
         src: stripped,
         toks,
         fns,
@@ -388,7 +391,7 @@ impl Walker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::strip_code;
+    use super::super::source::strip_code;
 
     fn extract(src: &str) -> FileItems {
         extract_file(strip_code(src), "x", "crates/x/src/m.rs", "src/m.rs")

@@ -29,7 +29,8 @@ pub enum FactKind {
     Lock,
     /// Sends on a channel: `.send(...)`.
     ChannelSend,
-    /// Spawns or names threads/channels: `std::thread`, `mpsc`.
+    /// Spawns or names threads/channels: `std::thread`, `thread::spawn`,
+    /// `mpsc`.
     Thread,
     /// Can block the calling thread: `.recv()`/`.join()` (no-arg forms
     /// only, so `Path::join(..)` never matches), `.wait(`, `.park(`,
@@ -182,6 +183,13 @@ fn scan_body(src: &str, toks: &[Tok], open: usize, close: usize) -> Vec<Fact> {
                     push(FactKind::ChannelSend, t.line, ".send(");
                 } else if name == "thread" && qual_parent == Some("std") {
                     push(FactKind::Thread, t.line, "std::thread");
+                } else if name == "spawn"
+                    && qual_parent == Some("thread")
+                    && !(i >= 4 && text(src, &toks[i - 4]) == "std")
+                {
+                    // `thread::spawn` after `use std::thread`; the full
+                    // `std::thread::spawn` already counted as `std::thread`.
+                    push(FactKind::Thread, t.line, "thread::spawn");
                 } else if name == "mpsc" {
                     push(FactKind::Thread, t.line, "mpsc");
                 } else if name == "fs"
@@ -249,7 +257,7 @@ fn scan_body(src: &str, toks: &[Tok], open: usize, close: usize) -> Vec<Fact> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::strip_code;
+    use super::super::source::strip_code;
 
     fn facts_of(body: &str) -> Vec<(FactKind, String)> {
         let src = format!("fn f() {{ {body} }}");
@@ -275,6 +283,7 @@ mod tests {
     #[test]
     fn debug_assert_and_safe_access_are_not_facts() {
         assert!(facts_of("debug_assert!(x); let v = b.first(); let a: [u8; 4] = d;").is_empty());
+        assert!(facts_of("#[allow(unused)] let s: &[u8] = b; let a = [1u8, 2];").is_empty());
         // `#[..]` attribute and `&[u8]` slice type have punct before `[`.
         assert!(facts_of("let v = vec . first ( ) ;").is_empty());
     }

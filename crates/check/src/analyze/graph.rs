@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use super::extract::{extract_file, is_keyword, FileItems, FnItem};
 use super::facts::{infer_facts, Fact};
 use super::lexer::{Tok, TokKind};
-use crate::lint::{strip_cfg_test, strip_code};
+use super::source::{rel_label, rust_files_under, strip_cfg_test, strip_code};
 
 /// The parsed workspace: all files, a global function index, and each
 /// function's direct facts.
@@ -155,22 +155,7 @@ pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
         }
     }
 
-    let mut fns = Vec::new();
-    let mut facts = Vec::new();
-    for (file_idx, file) in files.iter().enumerate() {
-        let file_facts = infer_facts(file);
-        for (fn_idx, fn_facts) in file_facts.into_iter().enumerate() {
-            fns.push(GlobalFn { file_idx, fn_idx });
-            facts.push(fn_facts);
-        }
-    }
-    let deps = load_deps(&crate_dirs);
-    Ok(Workspace {
-        files,
-        fns,
-        facts,
-        deps,
-    })
+    Ok(Workspace::from_files(files, load_deps(&crate_dirs)))
 }
 
 /// Reads each crate's `[dependencies]` for `shadow-*` workspace deps and
@@ -230,26 +215,25 @@ fn load_deps(crate_dirs: &[PathBuf]) -> HashMap<String, BTreeSet<String>> {
     direct
 }
 
-fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            rust_files_under(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
+impl Workspace {
+    /// Indexes every function of `files` and infers its direct facts.
+    fn from_files(files: Vec<FileItems>, deps: HashMap<String, BTreeSet<String>>) -> Workspace {
+        let mut fns = Vec::new();
+        let mut facts = Vec::new();
+        for (file_idx, file) in files.iter().enumerate() {
+            for (fn_idx, fn_facts) in infer_facts(file).into_iter().enumerate() {
+                fns.push(GlobalFn { file_idx, fn_idx });
+                facts.push(fn_facts);
+            }
+        }
+        Workspace {
+            files,
+            fns,
+            facts,
+            deps,
         }
     }
-    Ok(())
-}
 
-fn rel_label(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
-impl Workspace {
     /// The item record of a global function.
     pub fn item(&self, id: FnId) -> &FnItem {
         let g = &self.fns[id];
@@ -576,39 +560,28 @@ fn resolve_qualified(
     method_fallback(ix, name)
 }
 
+/// Builds an in-memory workspace from `(krate, rel_in_crate, src)`
+/// triples. No manifests are recorded, so every cross-crate edge is
+/// allowed.
+#[cfg(test)]
+pub(crate) fn ws_from(sources: &[(&str, &str, &str)]) -> Workspace {
+    let mut files = Vec::new();
+    for (krate, rel, src) in sources {
+        let label = format!("crates/{krate}/{rel}");
+        files.push(extract_file(
+            strip_cfg_test(&strip_code(src)),
+            krate,
+            &label,
+            rel,
+        ));
+    }
+    Workspace::from_files(files, HashMap::new())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
-
-    fn ws_from(sources: &[(&str, &str, &str)]) -> Workspace {
-        // (krate, rel_in_crate, src); no manifests, so every cross-crate
-        // edge is allowed — matching unit-test expectations.
-        let mut files = Vec::new();
-        for (krate, rel, src) in sources {
-            let label = format!("crates/{krate}/{rel}");
-            files.push(extract_file(
-                strip_cfg_test(&strip_code(src)),
-                krate,
-                &label,
-                rel,
-            ));
-        }
-        let mut fns = Vec::new();
-        let mut facts = Vec::new();
-        for (file_idx, file) in files.iter().enumerate() {
-            for (fn_idx, fn_facts) in infer_facts(file).into_iter().enumerate() {
-                fns.push(GlobalFn { file_idx, fn_idx });
-                facts.push(fn_facts);
-            }
-        }
-        Workspace {
-            files,
-            fns,
-            facts,
-            deps: HashMap::new(),
-        }
-    }
 
     fn edge_quals(ws: &Workspace, g: &CallGraph, caller_qual: &str) -> Vec<String> {
         let caller = (0..ws.fns.len())

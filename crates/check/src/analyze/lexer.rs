@@ -1,8 +1,8 @@
 //! A minimal Rust token lexer for the analysis engine.
 //!
 //! Input is source that has already been comment/string/test-stripped by
-//! [`strip_code`](crate::lint::strip_code) and
-//! [`strip_cfg_test`](crate::lint::strip_cfg_test), so the lexer only has
+//! [`strip_code`](super::source::strip_code) and
+//! [`strip_cfg_test`](super::source::strip_cfg_test), so the lexer only has
 //! to recognize identifiers, numbers, lifetimes, and punctuation — and
 //! can do so with exact line numbers, which is all the call-graph and
 //! fact-inference passes need. It is deliberately *not* a full Rust

@@ -1,17 +1,17 @@
-//! Whole-workspace static analysis: call-graph reachability rules.
+//! Whole-workspace static analysis: the one source-check engine.
 //!
-//! Where [`lint`](crate::lint) greps single files for forbidden tokens,
-//! this module builds an actual model of the workspace — every `fn`,
-//! every resolvable call edge, every primitive effect — and asks
-//! *transitive* questions: can a panic be reached from the wire decoder,
-//! an allocation from the zero-copy diff loop, a wall-clock read or a
-//! filesystem touch from a pure crate's API, a blocking call from a
-//! shard poll function? The
-//! pipeline is `lexer` → `extract` → `facts` + `graph` → `rules`, all
-//! textual (no rustc, no syn), deliberately over-approximate, and fast
-//! enough to run on every CI push. `report` renders findings for humans
-//! or as JSON and subtracts a committed baseline. Soundness caveats are
-//! documented in DESIGN.md §13.
+//! This module builds a model of the workspace — every `fn`, every
+//! resolvable call edge, every primitive effect — and asks *transitive*
+//! questions: can a panic be reached from the wire decoder or the
+//! observability crate, an allocation from the zero-copy diff loop, a
+//! wall-clock read, a file, a socket, a thread or a lock from a sans-io
+//! crate, a blocking call from a shard poll function? It also checks
+//! that every wire, driver-event and shard-command variant is covered.
+//! The pipeline is `source` → `lexer` → `extract` → `facts` + `graph` →
+//! `rules`, all textual (no rustc, no syn), deliberately
+//! over-approximate, and fast enough to run on every CI push. `report`
+//! renders findings for humans or as JSON and subtracts a committed
+//! baseline. Soundness caveats are documented in DESIGN.md §13.
 
 pub mod extract;
 pub mod facts;
@@ -19,9 +19,11 @@ pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
+pub mod source;
 
 pub use rules::AnalysisFinding;
 
+use std::fs;
 use std::io;
 use std::path::Path;
 
@@ -50,6 +52,8 @@ pub fn analyze(root: &Path) -> io::Result<(Vec<AnalysisFinding>, AnalysisStats)>
         edges: g.edges.iter().map(Vec::len).sum(),
         facts: ws.facts.iter().map(Vec::len).sum(),
     };
-    let findings = rules::run_rules(&ws, &g);
+    let mut findings = rules::run_rules(&ws, &g);
+    let round_trip = fs::read_to_string(root.join(rules::ROUND_TRIP_TESTS)).unwrap_or_default();
+    findings.extend(rules::variant_coverage(&ws, &source::strip_code(&round_trip)));
     Ok((findings, stats))
 }

@@ -23,7 +23,9 @@ pub const RULE_NAMES: &[&str] = &[
     "clock-reach",
     "fs-reach",
     "net-reach",
+    "thread-reach",
     "shard-shape",
+    "variant-coverage",
 ];
 
 /// A parsed baseline: the set of suppressed finding keys.

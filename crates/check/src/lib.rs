@@ -1,5 +1,5 @@
 //! `shadow-check`: exhaustive state-space checking and a repo-specific
-//! lint pass for the sans-io protocol core.
+//! source analysis for the sans-io protocol core.
 //!
 //! The crates under `crates/` deliberately keep all protocol logic in
 //! sans-io state machines ([`ClientNode`](shadow_client::ClientNode),
@@ -21,19 +21,17 @@
 //!   the protocol invariants after every transition.
 //! * [`minimize`] shrinks a violating choice trace with delta debugging
 //!   so the counterexample a failure prints is the short, readable core.
-//! * [`lint`] is an offline source-level pass enforcing the repo's
-//!   sans-io discipline: no wall-clock reads inside protocol crates, no
-//!   panicking constructs in wire-decode paths, and full message/event
-//!   variant coverage in the round-trip tests.
-//! * [`analyze`] upgrades those per-file checks to whole-workspace
-//!   call-graph reachability: no panic reachable from the wire decoder,
-//!   no allocation from the zero-copy diff hot path, no wall-clock read
-//!   from a pure crate's public API, no blocking call inside the shard
-//!   poll loops — each proven transitively, across file and crate
-//!   boundaries, with printed witness chains.
+//! * [`analyze`] is the one source check: whole-workspace call-graph
+//!   reachability (no panic reachable from the wire decoder or the
+//!   observability crate, no allocation from the zero-copy diff hot
+//!   path, no wall-clock read, file, socket, thread or lock reachable
+//!   from a sans-io crate, no blocking call inside the shard poll
+//!   loops — each proven transitively, across file and crate
+//!   boundaries, with printed witness chains), plus variant coverage
+//!   of the wire, driver-event and shard-command enums.
 //!
-//! The binary front-end (`cargo run -p shadow-check -- explore|lint`)
-//! drives both engines; CI runs them via `just check`.
+//! The binary front-end (`cargo run -p shadow-check -- explore|analyze`)
+//! drives both; CI runs them via `just check`.
 //!
 //! Invariants checked during exploration (see [`world::Violation`]):
 //!
@@ -57,14 +55,12 @@
 
 pub mod analyze;
 pub mod explore;
-pub mod lint;
 pub mod minimize;
 pub mod scenario;
 pub mod world;
 
 pub use analyze::{analyze, AnalysisFinding, AnalysisStats};
 pub use explore::{explore, minimize_trace, replay, Counterexample, Profile, Report};
-pub use lint::{lint_workspace, Finding};
 pub use minimize::ddmin;
 pub use scenario::{builtin_scenarios, Op, Scenario};
 pub use world::{Choice, Violation, World};

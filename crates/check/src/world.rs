@@ -720,7 +720,6 @@ impl World {
                 _ => {}
             }
         }
-        self.client.take_finished();
         Ok(())
     }
 

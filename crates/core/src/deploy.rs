@@ -1,16 +1,14 @@
 //! The unified deployment builder.
 //!
-//! Historically each deployment shape had its own entry point —
-//! `LiveSystem::start`, `LiveSystem::sharded`, `TcpServerRuntime::bind`,
-//! `ShardedTcpServerRuntime::bind` — and none of them could restore a
-//! durable shadow store. [`Deployment`] collapses all four into one
-//! fluent builder with durability as an orthogonal axis:
+//! [`Deployment`] is the one way to stand up a server: a fluent builder
+//! over the transport (in-process pipes or TCP), the shard count, and
+//! durability as an orthogonal axis:
 //!
 //! ```no_run
 //! use shadow::{Deployment, ServerConfig};
 //!
 //! # fn main() -> Result<(), shadow::DeployError> {
-//! // In-process pipes, one server, diskless (was LiveSystem::start):
+//! // In-process pipes, one server, diskless:
 //! let system = Deployment::new(ServerConfig::new("superc")).pipes()?;
 //!
 //! // Four shards over TCP, journaling to disk:
@@ -186,9 +184,8 @@ enum PipeInner {
     Sharded(ShardedLiveSystem),
 }
 
-/// A running in-process deployment built by [`Deployment::pipes`]: the
-/// unified handle over what used to be `LiveSystem` /
-/// `ShardedLiveSystem`.
+/// A running in-process deployment built by [`Deployment::pipes`]: one
+/// handle over a [`LiveSystem`] or a [`ShardedLiveSystem`].
 #[derive(Debug)]
 pub struct PipeDeployment {
     inner: PipeInner,
@@ -245,9 +242,8 @@ enum TcpInner {
     Sharded(ShardedTcpServerRuntime),
 }
 
-/// A bound TCP deployment built by [`Deployment::tcp`]: the unified
-/// handle over what used to be `TcpServerRuntime` /
-/// `ShardedTcpServerRuntime`. Drive it from the owning thread with
+/// A bound TCP deployment built by [`Deployment::tcp`]: one handle over
+/// a [`TcpServerRuntime`] or a [`ShardedTcpServerRuntime`]. Drive it from the owning thread with
 /// [`run_forever`](Self::run_forever) (daemon) or
 /// [`run_until_idle_for`](Self::run_until_idle_for) (tests).
 #[derive(Debug)]

@@ -90,7 +90,7 @@ pub use sim::{ClientId, FinishedJob, ServerId, SimError, Simulation};
 pub use shadow_store::{DurableStore, RecoverySummary, DEFAULT_COMPACT_EVERY};
 
 pub use shadow_runtime::{
-    shard_for, Accepted, ClientDriver, ClientOutbound, Clock, CompletedJob, Connector,
+    shard_for, Accepted, ClientDriver, ClientOutbound, Clock, Connector,
     DriverEvent, DriverStats, EventHook, FeedError, FrameInfo, FrameTransport, PersistSink,
     ServerDriver, ServerIo, ServerOutbound, ServerRuntime, SessionAcceptor, ShardedServerRuntime,
     Supervisor, SupervisorConfig, SupervisorEvent, SupervisorStats, TimerQueue, TransportClosed,
@@ -123,7 +123,7 @@ pub use shadow_proto::{
 };
 pub use shadow_obs::{
     FlightEntry, FlightRecorder, Histogram, Json, MetricValue, MetricsRegistry, NodeReport,
-    Section, Snapshot, TraceSink,
+    Section, Snapshot,
 };
 pub use shadow_server::{
     exec, ConfigError as ServerConfigError, ExecProfile, FlowControl, ServerAction, ServerConfig,

@@ -27,7 +27,7 @@ use shadow_runtime::{
     Accepted, ClientDriver, ClientOutbound, Clock, EventHook, FeedError, FrameTransport,
     PersistSink, ServerRuntime, SessionAcceptor, ShardedServerRuntime, WallClock,
 };
-use shadow_server::{ServerConfig, ServerNode};
+use shadow_server::ServerNode;
 
 /// Errors from the live system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,12 +147,6 @@ pub struct LiveSystem {
 }
 
 impl LiveSystem {
-    /// Starts the server thread.
-    #[deprecated(note = "use `Deployment::new(config).pipes()`")]
-    pub fn start(config: ServerConfig) -> Self {
-        Self::start_with(ServerNode::new(config), None)
-    }
-
     /// Starts the server thread around a pre-built node (fresh, or
     /// restored from a durable store) and the sink its storage intents
     /// go to. The [`Deployment`](crate::Deployment) builder is the
@@ -232,15 +226,6 @@ impl LiveSystem {
             .expect("server thread panicked")
     }
 
-    /// Starts a **sharded** deployment: `shards` worker threads, each
-    /// owning its own `ServerNode`, behind a routing acceptor thread
-    /// that assigns every session to the shard owning its naming
-    /// domain. See [`ShardedLiveSystem`].
-    #[deprecated(note = "use `Deployment::new(config).shards(n).pipes()`")]
-    #[allow(deprecated)]
-    pub fn sharded(config: ServerConfig, shards: usize) -> ShardedLiveSystem {
-        ShardedLiveSystem::start(config, shards)
-    }
 }
 
 /// A running sharded shadow server — the scale-out sibling of
@@ -284,16 +269,6 @@ pub struct ShardedLiveSystem {
 }
 
 impl ShardedLiveSystem {
-    /// Starts the router thread and its worker shards.
-    #[deprecated(note = "use `Deployment::new(config).shards(n).pipes()`")]
-    pub fn start(config: ServerConfig, shards: usize) -> Self {
-        Self::start_with_parts(
-            (0..shards.max(1))
-                .map(|_| (ServerNode::new(config.clone()), None))
-                .collect(),
-        )
-    }
-
     /// Starts the router thread over pre-built shards — each its
     /// (possibly journal-restored) node plus the sink that shard's
     /// storage intents go to. The [`Deployment`](crate::Deployment)
@@ -603,13 +578,6 @@ impl<T: FrameTransport> LiveClient<T> {
             .collect()
     }
 
-    /// The client's traffic counters.
-    #[deprecated(note = "use `report()` and read the \"client\" section")]
-    #[allow(deprecated)]
-    pub fn metrics(&self) -> shadow_client::ClientMetrics {
-        self.driver.metrics()
-    }
-
     /// The client's full report: protocol metrics, version-store
     /// occupancy, and driver wire counters as one aggregate.
     pub fn report(&self) -> shadow_obs::NodeReport {
@@ -632,6 +600,7 @@ impl<T: FrameTransport> LiveClient<T> {
 mod tests {
     use super::*;
     use crate::deploy::Deployment;
+    use shadow_server::ServerConfig;
     use shadow_proto::FileId;
 
     fn fref(id: u64, name: &str) -> FileRef {
@@ -755,11 +724,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn sharded_live_with_one_shard_matches_single_server_behaviour() {
-        // Deliberately exercises the deprecated entry point so the thin
-        // wrapper keeps working until it is removed.
-        let system = LiveSystem::sharded(ServerConfig::new("sc"), 1);
+        let system = Deployment::new(ServerConfig::new("sc"))
+            .shards(1)
+            .pipes()
+            .unwrap();
         let mut client = system.connect_client(ClientConfig::new("ws1", 7));
         client.wait_ready(Duration::from_secs(5)).unwrap();
         let job = fref(1, "ws1:/hello.job");

@@ -575,26 +575,36 @@ impl Simulation {
     /// transparency (writing job output into the user's files).
     fn drain_client(&mut self, client: ClientId, at: SimTime) {
         let host = self.clients[client.0].host.clone();
-        for job in self.clients[client.0].driver.take_finished() {
-            let options = self.clients[client.0].driver.options_for(job.job).cloned();
+        let drained = self.clients[client.0].driver.take_notifications();
+        for (_, n) in &drained {
+            let Notification::JobFinished {
+                conn,
+                job,
+                output,
+                errors,
+                stats,
+            } = n
+            else {
+                continue;
+            };
+            let options = self.clients[client.0].driver.options_for(*job).cloned();
             if let Some(options) = options {
                 if let Some(out_path) = &options.output_file {
-                    let _ = self.vfs.write_file(&host, out_path, job.output.clone());
+                    let _ = self.vfs.write_file(&host, out_path, output.clone());
                 }
                 if let Some(err_path) = &options.error_file {
-                    let _ = self.vfs.write_file(&host, err_path, job.errors.clone());
+                    let _ = self.vfs.write_file(&host, err_path, errors.clone());
                 }
             }
             self.clients[client.0].finished.push(FinishedJob {
-                conn: job.conn,
-                job: job.job,
-                output: job.output,
-                errors: job.errors,
-                stats: job.stats,
+                conn: *conn,
+                job: *job,
+                output: output.clone(),
+                errors: errors.clone(),
+                stats: *stats,
                 at,
             });
         }
-        let drained = self.clients[client.0].driver.take_notifications();
         self.clients[client.0]
             .notifications
             .extend(drained.into_iter().map(|(_, n)| (at, n)));
@@ -620,33 +630,6 @@ impl Simulation {
     pub fn link_stats(&self, client: ClientId, server: ServerId) -> (LinkStats, LinkStats) {
         let (c_net, s_net) = (self.clients[client.0].net, self.servers[server.0].net);
         (self.net.stats(c_net, s_net), self.net.stats(s_net, c_net))
-    }
-
-    /// A server's behaviour counters.
-    #[deprecated(note = "use `server_report()` and read the \"server\" section")]
-    #[allow(deprecated)]
-    pub fn server_metrics(&self, server: ServerId) -> shadow_server::ServerMetrics {
-        self.servers[server.0].driver.metrics()
-    }
-
-    /// A server's shadow-cache counters.
-    #[deprecated(note = "use `server_report()` and read the \"cache\" section")]
-    #[allow(deprecated)]
-    pub fn cache_stats(&self, server: ServerId) -> shadow_cache::CacheStats {
-        self.servers[server.0].driver.node().cache_stats()
-    }
-
-    /// A client's traffic counters.
-    #[deprecated(note = "use `client_report()` and read the \"client\" section")]
-    #[allow(deprecated)]
-    pub fn client_metrics(&self, client: ClientId) -> shadow_client::ClientMetrics {
-        self.clients[client.0].driver.metrics()
-    }
-
-    /// A client's version-store summary (retention diagnostics).
-    #[deprecated(note = "use `client_report()` and read the \"versions\" section")]
-    pub fn client_version_stats(&self, client: ClientId) -> shadow_version::VersionStoreStats {
-        self.clients[client.0].driver.node().version_stats()
     }
 
     /// A client's full report: protocol metrics, version-store

@@ -4,9 +4,10 @@
 //! (TCP/IP) … a server process listens at a well-known port for
 //! connections from clients."
 //!
-//! Like the in-process [`LiveSystem`](crate::LiveSystem), this is a thin
-//! adapter over the shared [`ServerRuntime`]: only the
-//! [`SessionAcceptor`] (a non-blocking listener) is TCP-specific.
+//! Like the in-process [`LiveSystem`](crate::LiveSystem), this runs the
+//! shared [`ServerRuntime`]: only the [`SessionAcceptor`] (a
+//! non-blocking listener) is TCP-specific. [`Deployment::tcp`](crate::Deployment::tcp) builds
+//! it.
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -17,7 +18,7 @@ use shadow_netsim::tcp::{TcpFramed, TcpServer};
 use shadow_runtime::{
     Accepted, PersistSink, ServerRuntime, SessionAcceptor, ShardedServerRuntime, WallClock,
 };
-use shadow_server::{ServerConfig, ServerNode};
+use shadow_server::ServerNode;
 
 use crate::live::LiveClient;
 
@@ -84,16 +85,6 @@ pub struct TcpServerRuntime {
 }
 
 impl TcpServerRuntime {
-    /// Binds the well-known port.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    #[deprecated(note = "use `Deployment::new(config).tcp(addr)`")]
-    pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Self> {
-        Self::bind_with(addr, ServerNode::new(config), None)
-    }
-
     /// Binds the well-known port around a pre-built node (fresh, or
     /// restored from a durable store) and the sink its storage intents
     /// go to. The [`Deployment`](crate::Deployment) builder is the
@@ -197,25 +188,6 @@ pub struct ShardedTcpServerRuntime {
 }
 
 impl ShardedTcpServerRuntime {
-    /// Binds the well-known port and spawns `shards` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    #[deprecated(note = "use `Deployment::new(config).shards(n).tcp(addr)`")]
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        shards: usize,
-    ) -> io::Result<Self> {
-        Self::bind_with_parts(
-            addr,
-            (0..shards.max(1))
-                .map(|_| (ServerNode::new(config.clone()), None))
-                .collect(),
-        )
-    }
-
     /// Binds the well-known port over pre-built shards — each its
     /// (possibly journal-restored) node plus the sink that shard's
     /// storage intents go to. The [`Deployment`](crate::Deployment)
@@ -307,6 +279,7 @@ impl ShardedTcpServerRuntime {
 mod tests {
     use super::*;
     use crate::deploy::Deployment;
+    use shadow_server::ServerConfig;
     use shadow_client::FileRef;
     use shadow_proto::{FileId, SubmitOptions};
 
@@ -333,12 +306,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn tcp_delta_resubmission() {
-        // Deliberately exercises the deprecated entry point so the thin
-        // wrapper keeps working until it is removed.
-        let runtime =
-            TcpServerRuntime::bind("127.0.0.1:0", ServerConfig::new("sc")).unwrap();
+        let runtime = Deployment::new(ServerConfig::new("sc"))
+            .tcp("127.0.0.1:0")
+            .unwrap();
         let addr = runtime.local_addr().unwrap();
         let handle =
             std::thread::spawn(move || runtime.run_until_idle_for(Duration::from_millis(400)));
@@ -362,7 +333,7 @@ mod tests {
         client.wait_job(Duration::from_secs(10)).unwrap();
         assert_eq!(client.report().counter("client", "deltas_sent"), 1);
         drop(client);
-        let node = handle.join().unwrap().unwrap();
+        let node = handle.join().unwrap().unwrap().remove(0);
         assert_eq!(node.report().counter("server", "delta_updates"), 1);
     }
 

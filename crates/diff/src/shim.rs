@@ -2,8 +2,8 @@
 //! allocating API.
 //!
 //! This module is the *only* place in the diff crate allowed to build
-//! per-line `Line(Vec<u8>)` allocations (the `shadow-check` repo lint
-//! enforces that): it hosts the original allocating pipeline
+//! per-line `Line(Vec<u8>)` allocations (`shadow-check analyze`'s
+//! `alloc-reach` rule enforces that): it hosts the original allocating pipeline
 //! ([`diff_legacy`]) kept as an equivalence oracle, and the conversions
 //! from the zero-copy types back to the allocating ones.
 

@@ -3,7 +3,7 @@
 //! The registry never reads a clock: time-derived values (gauge
 //! sampling, span durations) are computed by the caller from the
 //! driver-`Clock`-provided `now_ms` and handed in, which is what keeps
-//! this crate admissible under the sans-io wall-clock lint.
+//! this crate admissible under the analyzer's `clock-reach` rule.
 
 use crate::json::Json;
 use crate::report::Section;

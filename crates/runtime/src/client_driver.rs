@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use shadow_client::{
-    ClientAction, ClientError, ClientEvent, ClientMetrics, ClientNode, ConnId, FileRef,
+    ClientAction, ClientError, ClientEvent, ClientNode, ConnId, FileRef,
     Notification,
 };
 use shadow_proto::{
@@ -12,7 +12,7 @@ use shadow_proto::{
     VersionNumber,
 };
 
-use crate::event::{CompletedJob, DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
+use crate::event::{DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
 
 /// An encoded frame the runtime must put on the wire, with its
 /// transfer classification.
@@ -32,12 +32,11 @@ pub struct ClientOutbound {
 /// Runtimes (simulator, live threads, TCP client) call the command
 /// methods ([`connect`](Self::connect), [`submit`](Self::submit), …)
 /// and [`feed_frame`](Self::feed_frame) for inbound traffic; every call
-/// returns the encoded frames to transmit. Notifications and finished
-/// jobs accumulate internally until drained.
+/// returns the encoded frames to transmit. Notifications (job
+/// completions among them) accumulate internally until drained.
 pub struct ClientDriver {
     node: ClientNode,
     notifications: VecDeque<(u64, Notification)>,
-    finished: Vec<CompletedJob>,
     request_options: HashMap<RequestId, SubmitOptions>,
     job_options: HashMap<JobId, SubmitOptions>,
     stats: DriverStats,
@@ -53,7 +52,6 @@ impl std::fmt::Debug for ClientDriver {
         f.debug_struct("ClientDriver")
             .field("node", &self.node)
             .field("notifications", &self.notifications.len())
-            .field("finished", &self.finished.len())
             .field("stats", &self.stats)
             .field("hook", &self.hook.is_some())
             .finish_non_exhaustive()
@@ -68,7 +66,6 @@ impl Clone for ClientDriver {
         ClientDriver {
             node: self.node.clone(),
             notifications: self.notifications.clone(),
-            finished: self.finished.clone(),
             request_options: self.request_options.clone(),
             job_options: self.job_options.clone(),
             stats: self.stats,
@@ -84,7 +81,6 @@ impl ClientDriver {
         ClientDriver {
             node,
             notifications: VecDeque::new(),
-            finished: Vec::new(),
             request_options: HashMap::new(),
             job_options: HashMap::new(),
             stats: DriverStats::default(),
@@ -106,18 +102,6 @@ impl ClientDriver {
     /// The wrapped state machine (mutable, for diagnostics hooks).
     pub fn node_mut(&mut self) -> &mut ClientNode {
         &mut self.node
-    }
-
-    /// The state machine's transfer metrics.
-    #[deprecated(note = "use `report()` and read the \"client\" section")]
-    pub fn metrics(&self) -> ClientMetrics {
-        self.node.metrics()
-    }
-
-    /// Driver-level wire counters.
-    #[deprecated(note = "use `report()` and read the \"driver\" section")]
-    pub fn stats(&self) -> DriverStats {
-        self.stats
     }
 
     /// Everything this endpoint can report about itself: protocol
@@ -286,29 +270,10 @@ impl ClientDriver {
 
     fn record(&mut self, notification: Notification, now_ms: u64) {
         self.stats.notifications += 1;
-        match &notification {
-            Notification::JobAccepted { request, job, .. } => {
-                if let Some(options) = self.request_options.remove(request) {
-                    self.job_options.insert(*job, options);
-                }
+        if let Notification::JobAccepted { request, job, .. } = &notification {
+            if let Some(options) = self.request_options.remove(request) {
+                self.job_options.insert(*job, options);
             }
-            Notification::JobFinished {
-                conn,
-                job,
-                output,
-                errors,
-                stats,
-            } => {
-                self.finished.push(CompletedJob {
-                    conn: *conn,
-                    job: *job,
-                    output: output.clone(),
-                    errors: errors.clone(),
-                    stats: *stats,
-                    at_ms: now_ms,
-                });
-            }
-            _ => {}
         }
         self.notifications.push_back((now_ms, notification));
     }
@@ -336,27 +301,21 @@ impl ClientDriver {
         taken
     }
 
-    /// Drains all completed jobs.
-    pub fn take_finished(&mut self) -> Vec<CompletedJob> {
-        std::mem::take(&mut self.finished)
-    }
-
     /// The submit options recorded for a job, for output routing.
     pub fn options_for(&self, job: JobId) -> Option<&SubmitOptions> {
         self.job_options.get(&job)
     }
 
     /// A deterministic digest of the driver's protocol-relevant state:
-    /// the wrapped node plus the undrained notification/completion
-    /// buffers and the request→options routing tables. Wire counters are
-    /// excluded — they grow monotonically and would defeat the model
-    /// checker's state deduplication.
+    /// the wrapped node plus the undrained notification buffer and the
+    /// request→options routing tables. Wire counters are excluded — they
+    /// grow monotonically and would defeat the model checker's state
+    /// deduplication.
     pub fn state_digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = shadow_proto::StableHasher::new();
         self.node.state_digest().hash(&mut h);
         self.notifications.len().hash(&mut h);
-        self.finished.len().hash(&mut h);
         let mut requests: Vec<RequestId> = self.request_options.keys().copied().collect();
         requests.sort_unstable();
         requests.hash(&mut h);

@@ -7,8 +7,7 @@
 
 pub use shadow_obs::{DriverEvent, DriverStats, EventHook, FrameInfo};
 
-use shadow_client::ConnId;
-use shadow_proto::{JobId, JobStats, WireError};
+use shadow_proto::WireError;
 
 /// Why an inbound frame could not be fed to the state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,21 +33,4 @@ impl From<WireError> for FeedError {
     fn from(e: WireError) -> Self {
         FeedError::Wire(e)
     }
-}
-
-/// A finished job drained from a [`crate::ClientDriver`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompletedJob {
-    /// The connection the completion arrived on.
-    pub conn: ConnId,
-    /// The job.
-    pub job: JobId,
-    /// Reconstructed standard output.
-    pub output: Vec<u8>,
-    /// Error output.
-    pub errors: Vec<u8>,
-    /// Server-side accounting.
-    pub stats: JobStats,
-    /// Driver-clock completion time, milliseconds.
-    pub at_ms: u64,
 }

@@ -52,7 +52,7 @@ mod transport;
 
 pub use client_driver::{ClientDriver, ClientOutbound};
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use event::{CompletedJob, DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
+pub use event::{DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
 pub use server_driver::{ServerDriver, ServerIo, ServerOutbound};
 pub use server_runtime::{Accepted, ServerRuntime, SessionAcceptor};
 pub use sink::{PersistSink, VecSink};

@@ -21,9 +21,9 @@
 //! every shard.
 //!
 //! Concurrency therefore lives *here and only here* (plus the thin
-//! deployment adapters in `shadow`): `shadow-check lint`'s thread-purity
-//! rule forbids `std::thread`, `Mutex`, and `mpsc` from appearing in the
-//! protocol crates, keeping the refactor honest.
+//! deployment adapters in `shadow`): `shadow-check analyze`'s
+//! `thread-reach` rule forbids any fn of the protocol crates from
+//! reaching a thread, lock or channel, keeping the refactor honest.
 
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;

@@ -72,6 +72,19 @@ impl Harness {
         self.ferry(out);
     }
 
+    /// Drains the client's notifications and keeps the job completions
+    /// as `(output, exit code)`.
+    fn take_finished(&mut self) -> Vec<(Vec<u8>, i32)> {
+        self.client
+            .take_notifications()
+            .into_iter()
+            .filter_map(|(_, n)| match n {
+                Notification::JobFinished { output, stats, .. } => Some((output, stats.exit_code)),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn submit(&mut self, job: &FileRef, data: &[FileRef]) {
         let now = self.clock.now_ms();
         let (_, out) = self
@@ -94,10 +107,8 @@ fn handshake_then_job_completes() {
     h.edit(&job, b"echo runtime\n");
     h.submit(&job, &[]);
 
-    let done = h.client.take_finished();
-    assert_eq!(done.len(), 1);
-    assert_eq!(done[0].output, b"runtime\n");
-    assert_eq!(done[0].stats.exit_code, 0);
+    let done = h.take_finished();
+    assert_eq!(done, vec![(b"runtime\n".to_vec(), 0)]);
     assert_eq!(h.server.report().counter("server", "jobs_completed"), 1);
 
     // The timer that ran the job went through the driver's queue.
@@ -124,7 +135,7 @@ fn resubmission_travels_as_delta_and_stats_count_frames() {
     h.edit(&data, &edited);
     h.submit(&job, std::slice::from_ref(&data));
 
-    assert_eq!(h.client.take_finished().len(), 2);
+    assert_eq!(h.take_finished().len(), 2);
     let cs = h.client.report();
     assert_eq!(cs.counter("client", "deltas_sent"), 1, "second upload is a delta: {cs:?}");
     assert!(cs.counter("client", "fulls_sent") >= 2, "initial uploads were full: {cs:?}");

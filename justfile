@@ -22,18 +22,18 @@ e2ebench:
 lint:
     cargo clippy -- -D warnings
 
-# Protocol-level verification: repo lints plus the bounded state-space
-# sweep over the built-in scenarios (CI profile, a few seconds).
+# Protocol-level verification: the bounded state-space sweep over the
+# built-in scenarios (CI profile, a few seconds).
 verify:
-    cargo run --release -p shadow-check -- lint --root .
     cargo run --release -p shadow-check -- explore --profile ci
 
 # The overnight sweep: wider reordering, bigger budgets and state caps.
 verify-deep:
     cargo run --release -p shadow-check -- explore --profile deep
 
-# Call-graph static analysis: transitive panic/alloc/clock/blocking
-# guarantees over the whole workspace (deny by default; see DESIGN.md
+# Call-graph static analysis, the one source check: transitive
+# panic/alloc/clock/fs/net/thread/blocking guarantees plus variant
+# coverage over the whole workspace (deny by default; see DESIGN.md
 # §13). Also exports per-rule counts + wall time to BENCH_analysis.json.
 analyze:
     cargo run --release -p shadow-check -- analyze --root .
@@ -53,11 +53,11 @@ bench:
     cargo bench
 
 # Diff pipeline micro rows + regression guard: re-exports BENCH_micro.json
-# (quick parameters) and fails when any diff/apply row is more than 2x
-# slower than the committed BENCH_baseline_diff.json.
+# (quick parameters) and fails when any diff/apply row is more than the
+# committed BENCH_baseline_micro.json's max_ratio (2x) slower.
 bench-diff:
     SHADOW_BENCH_QUICK=1 cargo bench -p shadow-bench --bench micro
-    cargo run --release -p shadow-bench --bin diff_guard
+    cargo run --release -p shadow-bench --bin bench_guard -- micro
 
 # Sharded-runtime scaling sweep (sessions x shards over live pipes);
 # writes BENCH_contention.json. Quick parameters: pass no env for the
@@ -67,11 +67,11 @@ bench-contention:
 
 # Durable-store recovery rows + regression guard: re-exports
 # BENCH_recovery.json (quick parameters) and fails when any append or
-# replay row is more than 3x slower than the committed
-# BENCH_baseline_recovery.json.
+# replay row is more than the committed BENCH_baseline_recovery.json's
+# max_ratio (3x) slower.
 bench-recovery:
     SHADOW_BENCH_QUICK=1 cargo bench -p shadow-bench --bench recovery
-    cargo run --release -p shadow-bench --bin recovery_guard
+    cargo run --release -p shadow-bench --bin bench_guard -- recovery
 
 # Fault-tolerance suite: the kill-the-link integration tests, then the
 # seeded chaos matrix (scheduled resets, a lossy link, a healed
